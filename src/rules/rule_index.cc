@@ -1,10 +1,13 @@
 #include "rules/rule_index.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <numeric>
 #include <tuple>
+#include <type_traits>
+#include <unordered_map>
 #include <utility>
 
 #include "util/atomic_io.h"
@@ -18,6 +21,20 @@ constexpr char kMagic[8] = {'D', 'M', 'C', 'R', 'I', 'D', 'X', '\n'};
 constexpr char kEndMagic[4] = {'D', 'M', 'C', 'E'};
 constexpr uint32_t kVersion = 1;
 constexpr size_t kRecordBytes = 4 * sizeof(uint32_t);
+/// Magic, version, generation, rule count.
+constexpr size_t kHeaderBytes = sizeof(kMagic) + 4 + 8 + 8;
+/// Checksum, end magic.
+constexpr size_t kTrailerBytes = 8 + sizeof(kEndMagic);
+
+// A record is an ImplicationRule's four uint32 fields in declaration
+// order and host byte order (as AppendLE/ReadLE write and read the
+// header), so the record block copies to and from by_lhs_ whole.
+static_assert(std::is_trivially_copyable_v<ImplicationRule>);
+static_assert(sizeof(ImplicationRule) == kRecordBytes);
+static_assert(offsetof(ImplicationRule, lhs) == 0 &&
+              offsetof(ImplicationRule, rhs) == 4 &&
+              offsetof(ImplicationRule, lhs_ones) == 8 &&
+              offsetof(ImplicationRule, misses) == 12);
 
 uint64_t Fnv1aInit() { return 1469598103934665603ULL; }
 
@@ -48,53 +65,195 @@ Status Corrupt(const std::string& context, const std::string& what) {
   return DataLossError("rule index " + context + ": " + what);
 }
 
+constexpr uint64_t kLow32 = 0xFFFFFFFFULL;
+
+// The exact fraction hits / ones that confidence orders by, packed as
+// ones << 32 | hits. Clamped so a malformed rule (misses > lhs_ones) is
+// confidence 0 instead of wrapping, and a zero-antecedent rule is 0/1.
+uint64_t ConfidenceKey(const ImplicationRule& r) {
+  const uint64_t hits = r.misses > r.lhs_ones ? 0 : r.lhs_ones - r.misses;
+  const uint64_t ones = r.lhs_ones == 0 ? 1 : r.lhs_ones;
+  return ones << 32 | hits;
+}
+
+// True iff key a's fraction is strictly greater than key b's, exactly:
+// both halves are uint32, so the cross products fit in uint64.
+bool KeyAbove(uint64_t a, uint64_t b) {
+  return (a & kLow32) * (b >> 32) > (b & kLow32) * (a >> 32);
+}
+
+// Sets (*rank)[i] to the dense confidence rank of rules[i]: rank 0 is
+// the highest confidence, and equal rationals (4/5, 16/20) share a rank.
+// Only the C distinct fractions are sorted, so this takes expected
+// O(n + C log C) time; confidence pruning caps misses at
+// (1 - minconf) * ones(lhs), which keeps C small for a mined set.
+// Returns the number of ranks.
+uint32_t RankByConfidence(const std::vector<ImplicationRule>& rules,
+                          std::vector<uint32_t>* rank) {
+  std::unordered_map<uint64_t, uint32_t> class_of;
+  std::vector<uint64_t> keys;
+  rank->resize(rules.size());
+  for (size_t i = 0; i < rules.size(); ++i) {
+    const uint64_t key = ConfidenceKey(rules[i]);
+    const auto [it, added] =
+        class_of.try_emplace(key, static_cast<uint32_t>(keys.size()));
+    if (added) keys.push_back(key);
+    (*rank)[i] = it->second;
+  }
+  std::vector<uint32_t> by_conf(keys.size());
+  std::iota(by_conf.begin(), by_conf.end(), 0);
+  std::sort(by_conf.begin(), by_conf.end(), [&keys](uint32_t x, uint32_t y) {
+    return KeyAbove(keys[x], keys[y]);
+  });
+  std::vector<uint32_t> class_rank(keys.size());
+  uint32_t ranks = 0;
+  for (size_t k = 0; k < by_conf.size(); ++k) {
+    if (k > 0 && KeyAbove(keys[by_conf[k - 1]], keys[by_conf[k]])) ++ranks;
+    class_rank[by_conf[k]] = ranks;
+  }
+  for (uint32_t& r : *rank) r = class_rank[r];
+  return keys.empty() ? 0 : ranks + 1;
+}
+
+// Indices 0..n-1 stably counting-sorted by rank: within one rank they
+// stay ascending.
+std::vector<uint32_t> SortByRank(const std::vector<uint32_t>& rank,
+                                 uint32_t num_ranks) {
+  std::vector<uint32_t> start(size_t{num_ranks} + 1, 0);
+  for (uint32_t r : rank) ++start[r + 1];
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  std::vector<uint32_t> order(rank.size());
+  for (uint32_t i = 0; i < rank.size(); ++i) order[start[rank[i]]++] = i;
+  return order;
+}
+
+// Stable LSD radix sort of `order`, a permutation of 0..n-1, by
+// key(i) <= max_key: one counting pass per 16-bit digit, so a key below
+// 2^16 (the column ids of every paper workload) takes a single pass.
+// The counts do not depend on the order, so they are taken in index
+// order, which reads the keys sequentially.
+template <typename Key>
+void StableSortByKey(std::vector<uint32_t>* order, uint32_t max_key,
+                     Key key) {
+  constexpr uint32_t kDigitBits = 16;
+  constexpr uint32_t kDigitMask = (1u << kDigitBits) - 1;
+  const uint32_t n = static_cast<uint32_t>(order->size());
+  std::vector<uint32_t> sorted(n);
+  for (uint32_t shift = 0; shift < 32; shift += kDigitBits) {
+    const uint32_t top = max_key >> shift;
+    if (shift > 0 && top == 0) break;
+    std::vector<uint32_t> start(size_t{std::min(top, kDigitMask)} + 2, 0);
+    for (uint32_t i = 0; i < n; ++i) {
+      ++start[((key(i) >> shift) & kDigitMask) + 1];
+    }
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    for (uint32_t i : *order) {
+      sorted[start[(key(i) >> shift) & kDigitMask]++] = i;
+    }
+    order->swap(sorted);
+  }
+}
+
+// Derives the two index orders from by_lhs, which is in (lhs, rank, rhs)
+// order: the global TopK order (rank, lhs, rhs), because ascending
+// by_lhs index within one rank is exactly HigherConfidence's (lhs, rhs)
+// tie-break; then the consequent order (rhs, rank, lhs) as a stable
+// re-sort of it by rhs.
+void DeriveOrders(const std::vector<ImplicationRule>& by_lhs,
+                  const std::vector<uint32_t>& rank, uint32_t num_ranks,
+                  std::vector<uint32_t>* by_conf,
+                  std::vector<uint32_t>* by_rhs) {
+  *by_conf = SortByRank(rank, num_ranks);
+  *by_rhs = *by_conf;
+  uint32_t max_rhs = 0;
+  for (const ImplicationRule& r : by_lhs) max_rhs = std::max(max_rhs, r.rhs);
+  StableSortByKey(by_rhs, max_rhs,
+                  [&by_lhs](uint32_t i) { return by_lhs[i].rhs; });
+}
+
+// True iff some antecedent's posting in `by_lhs` (grouped by lhs) names
+// one consequent twice. Each posting goes through one reused hash table
+// sized for it; a slot belongs to the current posting only while it
+// carries that posting's stamp, so the table is never cleared.
+bool RepeatsAPair(const std::vector<ImplicationRule>& by_lhs) {
+  struct Slot {
+    uint32_t stamp = 0;
+    ColumnId rhs = 0;
+  };
+  std::vector<Slot> table;
+  uint32_t stamp = 0;
+  size_t end = 0;
+  for (size_t begin = 0; begin < by_lhs.size(); begin = end) {
+    end = begin + 1;
+    while (end < by_lhs.size() && by_lhs[end].lhs == by_lhs[begin].lhs) ++end;
+    int bits = 1;
+    while ((size_t{1} << bits) < 2 * (end - begin)) ++bits;
+    const size_t mask = (size_t{1} << bits) - 1;
+    if (table.size() <= mask) table.resize(mask + 1);
+    ++stamp;
+    for (size_t i = begin; i < end; ++i) {
+      const ColumnId rhs = by_lhs[i].rhs;
+      size_t slot = (uint64_t{rhs} * 0x9E3779B97F4A7C15ULL) >> (64 - bits);
+      for (; table[slot].stamp == stamp; slot = (slot + 1) & mask) {
+        if (table[slot].rhs == rhs) return true;
+      }
+      table[slot] = Slot{stamp, rhs};
+    }
+  }
+  return false;
+}
+
+// True iff `rules` is strictly ascending by (lhs, rhs): the form
+// ImplicationRuleSet::Canonicalize produces and every miner emits.
+bool IsCanonical(const std::vector<ImplicationRule>& rules) {
+  for (size_t i = 1; i < rules.size(); ++i) {
+    if (!(rules[i - 1] < rules[i])) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 bool HigherConfidence(const ImplicationRule& a, const ImplicationRule& b) {
-  // Clamp so a malformed rule (misses > lhs_ones) orders as confidence 0
-  // instead of wrapping around.
-  const uint64_t nx = a.misses > a.lhs_ones ? 0 : a.lhs_ones - a.misses;
-  const uint64_t ny = b.misses > b.lhs_ones ? 0 : b.lhs_ones - b.misses;
-  const uint64_t dx = a.lhs_ones == 0 ? 1 : a.lhs_ones;
-  const uint64_t dy = b.lhs_ones == 0 ? 1 : b.lhs_ones;
-  // nx/dx > ny/dy, exactly: counts are uint32, so the products fit.
-  const uint64_t lhs = nx * dy;
-  const uint64_t rhs = ny * dx;
-  if (lhs != rhs) return lhs > rhs;
+  const uint64_t x = ConfidenceKey(a);
+  const uint64_t y = ConfidenceKey(b);
+  if (KeyAbove(x, y)) return true;
+  if (KeyAbove(y, x)) return false;
   return std::tie(a.lhs, a.rhs) < std::tie(b.lhs, b.rhs);
 }
 
 std::shared_ptr<const RuleIndexSnapshot> RuleIndexSnapshot::Build(
     const ImplicationRuleSet& rules, uint64_t generation) {
-  ImplicationRuleSet canonical = rules;
-  canonical.Canonicalize();
+  // Miners emit canonical sets; only other input pays for a sorted copy.
+  ImplicationRuleSet canonical;
+  const std::vector<ImplicationRule>* source = &rules.rules();
+  if (!IsCanonical(*source)) {
+    canonical = rules;
+    canonical.Canonicalize();
+    source = &canonical.rules();
+  }
+  const std::vector<ImplicationRule>& in = *source;
 
   auto snapshot = std::shared_ptr<RuleIndexSnapshot>(new RuleIndexSnapshot());
   snapshot->generation_ = generation;
-  snapshot->by_lhs_ = canonical.rules();
-  std::sort(snapshot->by_lhs_.begin(), snapshot->by_lhs_.end(),
-            [](const ImplicationRule& a, const ImplicationRule& b) {
-              if (a.lhs != b.lhs) return a.lhs < b.lhs;
-              return HigherConfidence(a, b);
-            });
-
-  const uint32_t n = static_cast<uint32_t>(snapshot->by_lhs_.size());
-  snapshot->by_rhs_.resize(n);
-  snapshot->by_conf_.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    snapshot->by_rhs_[i] = i;
-    snapshot->by_conf_[i] = i;
+  std::vector<uint32_t> lhs_rank;
+  uint32_t num_ranks = 0;
+  {
+    std::vector<uint32_t> rank;
+    num_ranks = RankByConfidence(in, &rank);
+    // (rank, lhs, rhs), then stably by lhs: (lhs, rank, rhs).
+    std::vector<uint32_t> order = SortByRank(rank, num_ranks);
+    StableSortByKey(&order, in.empty() ? 0 : in.back().lhs,
+                    [&in](uint32_t i) { return in[i].lhs; });
+    snapshot->by_lhs_.resize(in.size());
+    lhs_rank.resize(in.size());
+    for (size_t k = 0; k < order.size(); ++k) {
+      snapshot->by_lhs_[k] = in[order[k]];
+      lhs_rank[k] = rank[order[k]];
+    }
   }
-  const std::vector<ImplicationRule>& all = snapshot->by_lhs_;
-  std::sort(snapshot->by_rhs_.begin(), snapshot->by_rhs_.end(),
-            [&all](uint32_t x, uint32_t y) {
-              if (all[x].rhs != all[y].rhs) return all[x].rhs < all[y].rhs;
-              return HigherConfidence(all[x], all[y]);
-            });
-  std::sort(snapshot->by_conf_.begin(), snapshot->by_conf_.end(),
-            [&all](uint32_t x, uint32_t y) {
-              return HigherConfidence(all[x], all[y]);
-            });
+  DeriveOrders(snapshot->by_lhs_, lhs_rank, num_ranks, &snapshot->by_conf_,
+               &snapshot->by_rhs_);
   return snapshot;
 }
 
@@ -132,17 +291,14 @@ std::vector<ImplicationRule> RuleIndexSnapshot::TopK(size_t k) const {
 }
 
 std::string RuleIndexSnapshot::Serialize() const {
+  const size_t records = by_lhs_.size() * kRecordBytes;
   std::string out;
+  out.reserve(kHeaderBytes + records + kTrailerBytes);
   out.append(kMagic, sizeof(kMagic));
   AppendLE<uint32_t>(&out, kVersion);
   AppendLE<uint64_t>(&out, generation_);
   AppendLE<uint64_t>(&out, static_cast<uint64_t>(by_lhs_.size()));
-  for (const ImplicationRule& r : by_lhs_) {
-    AppendLE<uint32_t>(&out, r.lhs);
-    AppendLE<uint32_t>(&out, r.rhs);
-    AppendLE<uint32_t>(&out, r.lhs_ones);
-    AppendLE<uint32_t>(&out, r.misses);
-  }
+  out.append(reinterpret_cast<const char*>(by_lhs_.data()), records);
   AppendLE<uint64_t>(&out, Fnv1aUpdate(Fnv1aInit(), out.data(), out.size()));
   out.append(kEndMagic, sizeof(kEndMagic));
   return out;
@@ -150,9 +306,7 @@ std::string RuleIndexSnapshot::Serialize() const {
 
 StatusOr<std::shared_ptr<const RuleIndexSnapshot>> RuleIndexSnapshot::Deserialize(
     const std::string& data, const std::string& context) {
-  constexpr size_t kMinBytes =
-      sizeof(kMagic) + 4 + 8 + 8 + 8 + sizeof(kEndMagic);
-  if (data.size() < kMinBytes) {
+  if (data.size() < kHeaderBytes + kTrailerBytes) {
     return Corrupt(context,
                    "truncated (" + std::to_string(data.size()) + " bytes)");
   }
@@ -163,7 +317,7 @@ StatusOr<std::shared_ptr<const RuleIndexSnapshot>> RuleIndexSnapshot::Deserializ
                   sizeof(kEndMagic)) != 0) {
     return Corrupt(context, "missing end marker");
   }
-  const size_t body_size = data.size() - sizeof(kEndMagic) - sizeof(uint64_t);
+  const size_t body_size = data.size() - kTrailerBytes;
   size_t offset = sizeof(kMagic);
   uint32_t version = 0;
   (void)ReadLE(data, &offset, &version);
@@ -175,7 +329,11 @@ StatusOr<std::shared_ptr<const RuleIndexSnapshot>> RuleIndexSnapshot::Deserializ
   if (!ReadLE(data, &offset, &generation) || !ReadLE(data, &offset, &count)) {
     return Corrupt(context, "truncated header");
   }
-  if (count * kRecordBytes != body_size - offset) {
+  // Divide rather than multiply: count * kRecordBytes wraps for a
+  // hostile count such as 2^60 + k.
+  const size_t record_bytes = body_size - offset;
+  if (record_bytes % kRecordBytes != 0 ||
+      count != record_bytes / kRecordBytes) {
     return Corrupt(context, "rule count " + std::to_string(count) +
                                 " does not match file size");
   }
@@ -190,16 +348,29 @@ StatusOr<std::shared_ptr<const RuleIndexSnapshot>> RuleIndexSnapshot::Deserializ
     return Corrupt(context, "checksum mismatch");
   }
 
-  ImplicationRuleSet rules;
-  for (uint64_t i = 0; i < count; ++i) {
-    ImplicationRule r;
-    (void)ReadLE(data, &offset, &r.lhs);
-    (void)ReadLE(data, &offset, &r.rhs);
-    (void)ReadLE(data, &offset, &r.lhs_ones);
-    (void)ReadLE(data, &offset, &r.misses);
-    rules.Add(r);
+  // The records are by_lhs_ as Serialize wrote it; check that order
+  // rather than re-sort, then derive the other two orders from it.
+  auto snapshot = std::shared_ptr<RuleIndexSnapshot>(new RuleIndexSnapshot());
+  snapshot->generation_ = generation;
+  std::vector<ImplicationRule>& rules = snapshot->by_lhs_;
+  rules.resize(count);
+  if (count > 0) std::memcpy(rules.data(), data.data() + offset, record_bytes);
+  std::vector<uint32_t> rank;
+  const uint32_t num_ranks = RankByConfidence(rules, &rank);
+  for (size_t i = 1; i < rules.size(); ++i) {
+    if (std::tie(rules[i - 1].lhs, rank[i - 1], rules[i - 1].rhs) >=
+        std::tie(rules[i].lhs, rank[i], rules[i].rhs)) {
+      return Corrupt(context,
+                     "records out of order at record " + std::to_string(i));
+    }
   }
-  return Build(rules, generation);
+  // A pair repeated at two ranks passes the check above.
+  if (RepeatsAPair(rules)) {
+    return Corrupt(context, "records out of order: an (lhs, rhs) pair repeats");
+  }
+  DeriveOrders(rules, rank, num_ranks, &snapshot->by_conf_,
+               &snapshot->by_rhs_);
+  return std::shared_ptr<const RuleIndexSnapshot>(std::move(snapshot));
 }
 
 RuleIndex::RuleIndex()
@@ -212,7 +383,7 @@ std::shared_ptr<const RuleIndexSnapshot> RuleIndex::snapshot() const {
 
 void RuleIndex::Publish(const ImplicationRuleSet& rules) {
   // publish_mu_ serializes writers so the generation read below cannot
-  // be stale; building outside mu_ keeps the O(n log n) Build off the
+  // be stale; building outside mu_ keeps the linear-time Build off the
   // readers' lock — snapshot() only ever waits for the pointer swap.
   MutexLock publish_lock(publish_mu_);
   uint64_t next_generation = 0;
@@ -241,13 +412,16 @@ Status RuleIndex::Load(const std::string& path) {
   if (fail::Enabled()) {
     DMC_RETURN_IF_ERROR(fail::InjectStatus("rule_index.load"));
   }
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return IOError("cannot open rule index: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return IOError("read failed for rule index: " + path);
+  const std::streamoff size = in.tellg();
+  if (size < 0) return IOError("cannot size rule index: " + path);
+  std::string image(static_cast<size_t>(size), '\0');
+  if (!in.seekg(0) || !in.read(image.data(), size)) {
+    return IOError("read failed for rule index: " + path);
+  }
   DMC_ASSIGN_OR_RETURN(std::shared_ptr<const RuleIndexSnapshot> snapshot,
-                       RuleIndexSnapshot::Deserialize(buffer.str(), path));
+                       RuleIndexSnapshot::Deserialize(image, path));
   MutexLock publish_lock(publish_mu_);
   MutexLock lock(mu_);
   snapshot_ = std::move(snapshot);

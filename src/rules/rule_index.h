@@ -46,7 +46,12 @@ bool HigherConfidence(const ImplicationRule& a, const ImplicationRule& b);
 /// except for the returned copies.
 class RuleIndexSnapshot {
  public:
-  /// Indexes a copy of `rules` (canonicalized) tagged with `generation`.
+  /// Indexes `rules` tagged with `generation`. Canonical input (strictly
+  /// ascending (lhs, rhs), as every miner emits) is indexed without a
+  /// copy in O(n + C log C) for C distinct confidences: each rule gets a
+  /// dense confidence rank, and stable counting sorts on the ranks and
+  /// column ids lay out the three orders. Other input is indexed from a
+  /// canonicalized copy.
   static std::shared_ptr<const RuleIndexSnapshot> Build(
       const ImplicationRuleSet& rules, uint64_t generation);
 
@@ -68,9 +73,12 @@ class RuleIndexSnapshot {
   /// records, FNV-1a fingerprint, end magic).
   std::string Serialize() const;
 
-  /// Rebuilds a snapshot from Serialize() output. Truncation, bad magic,
-  /// version skew, or checksum mismatch yield kDataLoss mentioning
-  /// `context` (typically the file path).
+  /// Rebuilds a snapshot from Serialize() output. The records are read
+  /// as by_lhs_ and only checked, not re-sorted. Truncation, bad magic,
+  /// version skew, a rule count that does not match the size, checksum
+  /// mismatch, or records out of (lhs, HigherConfidence) order or
+  /// repeating an (lhs, rhs) pair yield kDataLoss mentioning `context`
+  /// (typically the file path).
   static StatusOr<std::shared_ptr<const RuleIndexSnapshot>> Deserialize(
       const std::string& data, const std::string& context);
 

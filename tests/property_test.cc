@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <tuple>
 
@@ -61,13 +62,11 @@ struct PropertyCase {
 
 std::string CaseName(const testing::TestParamInfo<PropertyCase>& info) {
   const PropertyCase& p = info.param;
-  std::string name = "r" + std::to_string(p.rows) + "_c" +
-                     std::to_string(p.cols) + "_d" +
-                     std::to_string(int(p.density * 100)) + "_t" +
-                     std::to_string(int(p.threshold * 100)) + "_s" +
-                     std::to_string(p.seed);
-  if (p.skewed) name += "_skew";
-  return name;
+  std::ostringstream name;
+  name << "r" << p.rows << "_c" << p.cols << "_d" << int(p.density * 100)
+       << "_t" << int(p.threshold * 100) << "_s" << p.seed;
+  if (p.skewed) name << "_skew";
+  return name.str();
 }
 
 class DmcExactnessTest : public testing::TestWithParam<PropertyCase> {

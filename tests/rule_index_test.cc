@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -38,6 +39,42 @@ ImplicationRuleSet SampleRules() {
 
 std::string TempPath(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
+}
+
+template <typename T>
+void AppendLE(std::string* out, T value) {
+  char buf[sizeof(T)];
+  std::memcpy(buf, &value, sizeof(T));
+  out->append(buf, sizeof(T));
+}
+
+// A v1 image claiming `count` rules around `records`, with a checksum
+// that matches: what a writer that recomputes the checksum can produce.
+std::string ImageOf(uint64_t generation, uint64_t count,
+                    const std::vector<ImplicationRule>& records) {
+  std::string out("DMCRIDX\n");
+  AppendLE<uint32_t>(&out, 1);
+  AppendLE<uint64_t>(&out, generation);
+  AppendLE<uint64_t>(&out, count);
+  for (const ImplicationRule& r : records) {
+    AppendLE<uint32_t>(&out, r.lhs);
+    AppendLE<uint32_t>(&out, r.rhs);
+    AppendLE<uint32_t>(&out, r.lhs_ones);
+    AppendLE<uint32_t>(&out, r.misses);
+  }
+  uint64_t h = 1469598103934665603ULL;
+  for (char c : out) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  AppendLE<uint64_t>(&out, h);
+  out.append("DMCE");
+  return out;
+}
+
+std::string ImageOf(uint64_t generation,
+                    const std::vector<ImplicationRule>& records) {
+  return ImageOf(generation, records.size(), records);
 }
 
 TEST(HigherConfidenceTest, ExactOrderingAndTies) {
@@ -134,6 +171,77 @@ TEST(RuleIndexSnapshotTest, DeserializeRejectsCorruption) {
 
   EXPECT_EQ(RuleIndexSnapshot::Deserialize("", "t").status().code(),
             StatusCode::kDataLoss);
+}
+
+TEST(RuleIndexSnapshotTest, DeserializeRejectsWrappingRuleCount) {
+  // 2^60 + 2 records of 16 bytes wrap to 32 bytes in 64 bits: the two
+  // records present. The count must be refused before any allocation.
+  const std::vector<ImplicationRule> records = {MakeRule(0, 1, 10, 0),
+                                                MakeRule(0, 2, 10, 2)};
+  const std::string image = ImageOf(1, (uint64_t{1} << 60) + 2, records);
+  auto loaded = RuleIndexSnapshot::Deserialize(image, "t");
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(loaded.status().message().find("does not match file size"),
+            std::string::npos)
+      << loaded.status();
+  EXPECT_TRUE(RuleIndexSnapshot::Deserialize(ImageOf(1, records), "t").ok());
+}
+
+TEST(RuleIndexSnapshotTest, DeserializeRejectsRecordsOutOfOrder) {
+  const auto expect_out_of_order =
+      [](const std::vector<ImplicationRule>& records) {
+        auto loaded = RuleIndexSnapshot::Deserialize(ImageOf(1, records), "t");
+        EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+        EXPECT_NE(loaded.status().message().find("records out of order"),
+                  std::string::npos)
+            << loaded.status();
+      };
+  // Confidence order broken inside one antecedent's posting.
+  expect_out_of_order({MakeRule(0, 2, 10, 2), MakeRule(0, 1, 10, 0)});
+  // Equal confidence (4/5, 8/10) but consequents descending.
+  expect_out_of_order({MakeRule(0, 3, 5, 1), MakeRule(0, 2, 10, 2)});
+  // Antecedents descending.
+  expect_out_of_order({MakeRule(1, 2, 10, 0), MakeRule(0, 2, 10, 0)});
+  // A pair repeated at the same confidence, and at two confidences.
+  expect_out_of_order({MakeRule(0, 1, 10, 0), MakeRule(0, 1, 10, 0)});
+  expect_out_of_order(
+      {MakeRule(0, 1, 10, 0), MakeRule(0, 2, 10, 1), MakeRule(0, 1, 10, 2)});
+  expect_out_of_order({MakeRule(0, 1, 10, 0), MakeRule(1, 0, 10, 0),
+                       MakeRule(1, 3, 10, 0), MakeRule(1, 0, 0, 0)});
+}
+
+TEST(RuleIndexSnapshotTest, DeserializeLoadsVersion1Image) {
+  // Written by the comparison-sort Build + per-field Serialize of the
+  // first v1 release: Build of {0=>1 10/0, 0=>2 10/2, 0=>3 10/1,
+  // 1=>2 20/4, 2=>1 5/1, 2=>4 0/0, 3=>1 8/0, 3=>2 2/5, 3=>4 16/4},
+  // generation 42. Every v1 image is in the order Deserialize checks.
+  const std::string hex =
+      "444d43524944580a010000002a00000000000000090000000000000000000000"
+      "010000000a0000000000000000000000030000000a0000000100000000000000"
+      "020000000a000000020000000100000002000000140000000400000002000000"
+      "0100000005000000010000000200000004000000000000000000000003000000"
+      "0100000008000000000000000300000004000000100000000400000003000000"
+      "0200000002000000050000004427341d8d8eec7d444d4345";
+  std::string image;
+  for (size_t i = 0; i < hex.size(); i += 2) {
+    image.push_back(static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  auto loaded = RuleIndexSnapshot::Deserialize(image, "v1");
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const auto& snap = **loaded;
+  EXPECT_EQ(snap.generation(), 42u);
+  EXPECT_EQ(snap.Serialize(), image);
+  EXPECT_EQ(snap.TopK(4),
+            (std::vector<ImplicationRule>{
+                MakeRule(0, 1, 10, 0), MakeRule(3, 1, 8, 0),
+                MakeRule(0, 3, 10, 1), MakeRule(0, 2, 10, 2)}));
+  // 0/0 clamps to confidence 0, after 12/16.
+  EXPECT_EQ(snap.QueryByConsequent(4),
+            (std::vector<ImplicationRule>{MakeRule(3, 4, 16, 4),
+                                          MakeRule(2, 4, 0, 0)}));
+  ImplicationRuleSet rules;
+  for (const auto& r : snap.TopK(0)) rules.Add(r);
+  EXPECT_EQ(RuleIndexSnapshot::Build(rules, 42)->Serialize(), image);
 }
 
 TEST(RuleIndexTest, PublishBumpsGenerationAndPreservesReaders) {

@@ -2,6 +2,7 @@
 # check.sh — one-shot correctness gate. Runs, in order:
 #
 #   (a) warnings-as-errors build + full ctest        (preset: default)
+#   (a2) full-tree -O3 Release build + full ctest    (preset: werror-release)
 #   (b) ASan+UBSan build + full ctest                (preset: asan-ubsan)
 #   (c) TSan build + parallel/observe/cancellation/fault/rule-index/
 #       serve/shard-coordinator stress
@@ -45,6 +46,13 @@ cmake --build --preset default -j "${jobs}"
 ctest --preset default -j "${jobs}"
 
 if [[ "${fast}" -eq 0 ]]; then
+  step "(a2) full-tree werror Release build + ctest"
+  # Every target, not only the bench ones: -O3 inlining raises warnings
+  # (e.g. -Werror=restrict inside libstdc++) that RelWithDebInfo does not.
+  cmake --preset werror-release >/dev/null
+  cmake --build --preset werror-release -j "${jobs}"
+  ctest --test-dir build-release -j "${jobs}" --output-on-failure
+
   step "(b) asan-ubsan build + ctest"
   cmake --preset asan-ubsan >/dev/null
   cmake --build --preset asan-ubsan -j "${jobs}"
